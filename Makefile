@@ -118,6 +118,7 @@ cluster:
 fuzz:
 	$(GO) test -fuzz FuzzSchemaPlaceRemove -fuzztime 10s ./internal/replication
 	$(GO) test -fuzz FuzzReadGraph -fuzztime 10s ./internal/topology
+	$(GO) test -fuzz FuzzShortestPaths -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzDeltasDecoder -fuzztime 10s ./internal/server
 	$(GO) test -fuzz FuzzCompactRoundTrip -fuzztime 10s ./internal/online
 

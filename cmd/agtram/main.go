@@ -83,41 +83,52 @@ func toJSONResult(icfg repro.InstanceConfig, engine string, res *repro.Result) j
 }
 
 func main() {
-	inst := cliflags.AddInstance(flag.CommandLine)
-	eng := cliflags.AddEngine(flag.CommandLine)
-	prof := cliflags.AddProfile(flag.CommandLine)
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "agtram:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command behind main. Every failure returns through it,
+// so the deferred profile stop runs on error paths too (a -timeout or
+// solver error still leaves a complete -cpuprofile).
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("agtram", flag.ExitOnError)
+	inst := cliflags.AddInstance(fs)
+	eng := cliflags.AddEngine(fs)
+	prof := cliflags.AddProfile(fs)
 	var (
-		method  = flag.String("method", "agt-ram", "method: agt-ram|greedy|gra|ae-star|da|ea|glauber")
-		all     = flag.Bool("all", false, "run every method and print a comparison table")
-		report  = flag.String("report", "", "write the solved placement as a JSON report to this file")
-		timeout = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
-		asJSON  = flag.Bool("json", false, "emit the result as JSON on stdout")
+		method  = fs.String("method", "agt-ram", "method: agt-ram|greedy|gra|ae-star|da|ea|glauber")
+		all     = fs.Bool("all", false, "run every method and print a comparison table")
+		report  = fs.String("report", "", "write the solved placement as a JSON report to this file")
+		timeout = fs.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
+		asJSON  = fs.Bool("json", false, "emit the result as JSON on stdout")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse exits on bad flags
 
 	if !*all && !repro.KnownMethod(repro.Method(*method)) {
-		fatal(fmt.Errorf("unknown -method %q (want %s)", *method, methodList()))
+		return fmt.Errorf("unknown -method %q (want %s)", *method, methodList())
 	}
 	engineSet := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "engine" {
 			engineSet = true
 		}
 	})
 	if engineSet && repro.Method(*method) != repro.AGTRAM {
-		fatal(fmt.Errorf("-engine only applies to -method agt-ram (got -method %s)", *method))
+		return fmt.Errorf("-engine only applies to -method agt-ram (got -method %s)", *method)
 	}
 	faults, err := eng.Validate()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
+		if stopErr := stopProf(); err == nil {
+			err = stopErr
 		}
 	}()
 	icfg := inst.Config()
@@ -130,13 +141,12 @@ func main() {
 	}
 
 	if *all {
-		runAll(ctx, icfg, eng.Workers, icfg.Seed, *asJSON)
-		return
+		return runAll(ctx, icfg, eng.Workers, icfg.Seed, *asJSON)
 	}
 
 	in, err := repro.NewInstance(icfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opts := &repro.Options{
 		Workers:       eng.Workers,
@@ -153,25 +163,22 @@ func main() {
 	}
 	res, err := in.SolveContext(ctx, repro.Method(*method), opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *report != "" {
 		f, err := os.Create(*report)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := res.WriteReport(f); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(toJSONResult(icfg, eng.Engine, res)); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(toJSONResult(icfg, eng.Engine, res))
 	}
 	fmt.Printf("instance: M=%d N=%d requests=%d R/W=%.2f C=%.0f%% topology=%s oracle=%s seed=%d\n",
 		icfg.Servers, icfg.Objects, icfg.Requests, icfg.RWRatio, icfg.CapacityPercent, icfg.Topology, in.OracleKind(), icfg.Seed)
@@ -208,9 +215,10 @@ func main() {
 			fmt.Printf("evicted:  agent %d in round %d (%s)\n", ev.Agent, ev.Round, ev.Reason)
 		}
 	}
+	return nil
 }
 
-func runAll(ctx context.Context, icfg repro.InstanceConfig, workers int, seed int64, asJSON bool) {
+func runAll(ctx context.Context, icfg repro.InstanceConfig, workers int, seed int64, asJSON bool) error {
 	var results []jsonResult
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	if !asJSON {
@@ -219,11 +227,11 @@ func runAll(ctx context.Context, icfg repro.InstanceConfig, workers int, seed in
 	for _, m := range repro.Methods() {
 		in, err := repro.NewInstance(icfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		res, err := in.SolveContext(ctx, m, &repro.Options{Workers: workers, Seed: seed})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if asJSON {
 			results = append(results, toJSONResult(icfg, "", res))
@@ -236,14 +244,9 @@ func runAll(ctx context.Context, icfg repro.InstanceConfig, workers int, seed in
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(results)
 	}
-	if err := tw.Flush(); err != nil {
-		fatal(err)
-	}
+	return tw.Flush()
 }
 
 func methodList() string {
@@ -252,9 +255,4 @@ func methodList() string {
 		names = append(names, string(m))
 	}
 	return strings.Join(names, "|")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "agtram:", err)
-	os.Exit(1)
 }

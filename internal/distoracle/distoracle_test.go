@@ -27,7 +27,8 @@ func diffAgainstAllPairs(t *testing.T, name string, c replication.CostFn, exact 
 }
 
 // Differential: the CSR-lazy oracle is bit-identical to AllPairs on random,
-// power-law, and grid graphs, including with a cache far smaller than N
+// Waxman, transit-stub (backbone weights up to 4x the stub range),
+// power-law and grid graphs, including with a cache far smaller than N
 // (forcing evictions) and under the symmetric-row At fast path.
 func TestCSRLazyMatchesAllPairs(t *testing.T) {
 	r := stats.NewRNG(42)
@@ -37,6 +38,16 @@ func TestCSRLazyMatchesAllPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphs["random"] = g
+	if g, err = topology.Waxman(130, 0.8, 0.3, topology.DefaultWeights, r); err != nil {
+		t.Fatal(err)
+	}
+	graphs["waxman"] = g
+	if g, err = topology.TransitStub(topology.TransitStubConfig{
+		TransitDomains: 3, TransitSize: 4, StubsPerTransit: 2, StubSize: 5, IntraP: 0.4,
+	}, r); err != nil {
+		t.Fatal(err)
+	}
+	graphs["transit-stub"] = g
 	if g, err = topology.PowerLaw(150, 2, topology.DefaultWeights, r); err != nil {
 		t.Fatal(err)
 	}

@@ -54,12 +54,14 @@ func NewLandmark(g *topology.Graph, k, workers int) (*Landmark, error) {
 	chosen := make([]bool, n)
 	// minDist[v] = distance from v to its nearest chosen landmark.
 	minDist := make([]int32, n)
+	csr := topology.NewCSR(g)
+	var dj topology.Dijkstra
 	next := 0
 	for l := 0; l < k; l++ {
 		lm.ids = append(lm.ids, int32(next))
 		chosen[next] = true
 		row := lm.rows[l*n : (l+1)*n]
-		topology.ShortestPathsFrom(g, next, row)
+		dj.Run(csr, next, row)
 		best, bestDist := -1, int32(-1)
 		for v := 0; v < n; v++ {
 			if l == 0 || row[v] < minDist[v] {
@@ -131,11 +133,13 @@ func (lm *Landmark) ErrorStats(g *topology.Graph, sources int, seed int64) Error
 	r := stats.NewRNG(seed)
 	perm := r.Perm(n)
 	exact := make([]int32, n)
+	csr := topology.NewCSR(g)
+	var dj topology.Dijkstra
 	rels := make([]float64, 0, sources*(n-1))
 	var pairs, exactPairs int64
 	var sum float64
 	for _, s := range perm[:sources] {
-		topology.ShortestPathsFrom(g, s, exact)
+		dj.Run(csr, s, exact)
 		for j := 0; j < n; j++ {
 			if j == s || exact[j] <= 0 || exact[j] == math.MaxInt32 {
 				continue

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -115,16 +114,16 @@ func StreamRows(g *Graph, workers int, rowOf func(src int) []int32) {
 	if workers > n {
 		workers = n
 	}
+	c := NewCSR(g)
 	var wg sync.WaitGroup
 	src := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch reused across sources.
-			scratch := newDijkstraScratch(n)
+			var dj Dijkstra // per-worker scratch reused across sources
 			for s := range src {
-				scratch.run(g, s, rowOf(s))
+				dj.Run(c, s, rowOf(s))
 			}
 		}()
 	}
@@ -133,74 +132,4 @@ func StreamRows(g *Graph, workers int, rowOf func(src int) []int32) {
 	}
 	close(src)
 	wg.Wait()
-}
-
-// ShortestPathsFrom fills dist (length g.N()) with single-source shortest
-// paths from src. It allocates fresh scratch per call; hot loops that run
-// many sources should go through StreamRows or keep their own scratch.
-func ShortestPathsFrom(g *Graph, src int, dist []int32) {
-	newDijkstraScratch(g.N()).run(g, src, dist)
-}
-
-// dijkstraScratch holds reusable per-worker buffers for Dijkstra runs.
-type dijkstraScratch struct {
-	visited []bool
-	pq      pqueue
-}
-
-func newDijkstraScratch(n int) *dijkstraScratch {
-	return &dijkstraScratch{
-		visited: make([]bool, n),
-		pq:      make(pqueue, 0, n),
-	}
-}
-
-// run fills dist with single-source shortest paths from s.
-func (sc *dijkstraScratch) run(g *Graph, s int, dist []int32) {
-	for i := range dist {
-		dist[i] = Infinity
-		sc.visited[i] = false
-	}
-	dist[s] = 0
-	sc.pq = sc.pq[:0]
-	heap.Push(&sc.pq, pqItem{node: int32(s), dist: 0})
-	for sc.pq.Len() > 0 {
-		it := heap.Pop(&sc.pq).(pqItem)
-		u := int(it.node)
-		if sc.visited[u] {
-			continue
-		}
-		sc.visited[u] = true
-		du := dist[u]
-		for _, e := range g.Neighbors(u) {
-			v := int(e.To)
-			if sc.visited[v] {
-				continue
-			}
-			nd := du + e.Weight
-			if nd < dist[v] {
-				dist[v] = nd
-				heap.Push(&sc.pq, pqItem{node: e.To, dist: nd})
-			}
-		}
-	}
-}
-
-type pqItem struct {
-	node int32
-	dist int32
-}
-
-type pqueue []pqItem
-
-func (q pqueue) Len() int            { return len(q) }
-func (q pqueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pqueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pqueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pqueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }

@@ -150,6 +150,20 @@ func BenchmarkDistOracle(b *testing.B) {
 			_ = cold.Row(i % m)
 		}
 	})
+
+	// The same cold row at the paper's shape: G(M, p) with M=3718 and
+	// p=0.01, the graph whose all-pairs sweep is the dense oracle's build.
+	const paperM = 3718
+	paper, err := topology.Random(paperM, 0.01, topology.DefaultWeights, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("row/csr-cold-paper", func(b *testing.B) {
+		cold := distoracle.NewCSRLazy(paper, 1)
+		for i := 0; i < b.N; i++ {
+			_ = cold.Row(i % paperM)
+		}
+	})
 }
 
 // oracleSolveCases are the BENCH_6.json matrix: dense vs CSR-lazy vs
