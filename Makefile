@@ -57,11 +57,12 @@ bench-json:
 	@rm -f bench.out
 
 # The fault-matrix suite: injected crashes, truncated frames, severed and
-# slow links against both wire engines, plus the fault-free differential
+# slow links against both wire engines, invalid bids from a hand-written
+# peer (and the FuzzWireBids seed corpus), plus the fault-free differential
 # check, run twice under the race detector so eviction paths and teardown
 # cannot hide behind a lucky schedule.
 faultmatrix:
-	$(GO) test -race -count=2 -run 'TestFault|TestSolveTCP|TestEvicted|TestDifferentialEngines' ./internal/agtram
+	$(GO) test -race -count=2 -run 'TestFault|TestSolveTCP|TestEvicted|TestDifferentialEngines|TestWire|FuzzWireBids' ./internal/agtram
 	$(GO) test -race -count=2 ./internal/faultnet
 
 # The daemon's concurrency load tests plus the routing-plane benchmark.
@@ -121,5 +122,9 @@ fuzz:
 	$(GO) test -fuzz FuzzShortestPaths -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzDeltasDecoder -fuzztime 10s ./internal/server
 	$(GO) test -fuzz FuzzCompactRoundTrip -fuzztime 10s ./internal/online
+	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace
+	$(GO) test -fuzz FuzzReadCLF -fuzztime 10s ./internal/trace
+	$(GO) test -fuzz FuzzTreeOracleLCA -fuzztime 10s ./internal/distoracle
+	$(GO) test -fuzz FuzzWireBids -fuzztime 10s ./internal/agtram
 
 ci: vet staticcheck build race loadtest scenarios faultmatrix cluster bench

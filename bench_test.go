@@ -124,7 +124,6 @@ var agtramEngines = []struct {
 }{
 	{"incremental", repro.Options{}},
 	{"sync", repro.Options{Sync: true}},
-	{"distributed", repro.Options{Distributed: true}},
 	{"network", repro.Options{Network: true}},
 }
 

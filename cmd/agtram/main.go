@@ -152,7 +152,6 @@ func run(args []string) (err error) {
 		Workers:       eng.Workers,
 		Seed:          icfg.Seed,
 		Sync:          eng.Engine == "sync",
-		Distributed:   eng.Engine == "distributed",
 		Network:       eng.Engine == "network",
 		RoundTimeout:  eng.RoundTimeout,
 		GlauberSweeps: eng.GlauberSweeps,

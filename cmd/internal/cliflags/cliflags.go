@@ -138,7 +138,7 @@ type Engine struct {
 // AddEngine registers the engine flags on fs.
 func AddEngine(fs *flag.FlagSet) *Engine {
 	e := &Engine{}
-	fs.StringVar(&e.Engine, "engine", "incremental", "AGT-RAM engine: incremental|sync|distributed|network|tcp")
+	fs.StringVar(&e.Engine, "engine", "incremental", "AGT-RAM engine: incremental|sync|network|tcp")
 	fs.IntVar(&e.Workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	fs.DurationVar(&e.RoundTimeout, "round-timeout", 0, "wire engines: per-agent bid/award deadline; agents that miss it are evicted (0 = none)")
 	fs.IntVar(&e.GlauberSweeps, "glauber-sweeps", 0, "glauber method: annealing-sweep budget (0 = adaptive default scaling with M*N)")
@@ -188,9 +188,9 @@ func (e *Engine) Faults() (*repro.FaultConfig, error) {
 // in one call.
 func (e *Engine) Validate() (*repro.FaultConfig, error) {
 	switch e.Engine {
-	case "incremental", "sync", "distributed", "network", "tcp":
+	case "incremental", "sync", "network", "tcp":
 	default:
-		return nil, fmt.Errorf("unknown -engine %q (want incremental|sync|distributed|network|tcp)", e.Engine)
+		return nil, fmt.Errorf("unknown -engine %q (want incremental|sync|network|tcp)", e.Engine)
 	}
 	faults, err := e.Faults()
 	if err != nil {

@@ -19,10 +19,12 @@
 //   - SolveIncremental: the event-driven default — cached dominant bids in
 //     lazy max-heaps, re-pricing only the agents a broadcast can actually
 //     have changed (see incremental.go);
-//   - SolveDistributed: one goroutine per agent exchanging messages with a
-//     mechanism goroutine over channels — agents keep purely local state;
-//   - SolveNetwork: the same protocol serialized with encoding/gob over
-//     net.Pipe connections, demonstrating the semi-distributed deployment.
+//   - SolveTCP: the semi-distributed deployment — one agent per server,
+//     holding purely local state and speaking a gob wire protocol (hello,
+//     then one bid up and one award down per round) to the central
+//     mechanism over TCP (see wire.go);
+//   - SolveNetwork: the same protocol and mechanism over in-process
+//     net.Pipe links instead of sockets.
 package agtram
 
 import (

@@ -46,12 +46,12 @@ type Config struct {
 	// MaxRounds caps the number of rounds; <= 0 means unbounded.
 	MaxRounds int
 	// OnRound, when non-nil, observes every allocation as the mechanism
-	// makes it (synchronous and incremental engines). Useful for tracing
-	// and live dashboards; must not block.
+	// makes it, on every engine. Useful for tracing and live dashboards;
+	// must not block.
 	OnRound func(Allocation)
 
 	// The remaining fields configure the wire engines (SolveNetwork and
-	// SolveTCP) only; the in-process engines have no link to fail.
+	// SolveTCP) only; Solve and SolveIncremental have no link to fail.
 
 	// RoundTimeout bounds each per-agent bid read and award write via
 	// SetReadDeadline/SetWriteDeadline. An agent that misses a deadline is
@@ -59,9 +59,9 @@ type Config struct {
 	// still evicts promptly (its reads fail), but a live-and-silent agent
 	// can stall the round.
 	RoundTimeout time.Duration
-	// HandshakeTimeout bounds SolveTCP's connect-and-identify phase;
-	// agents that have not completed the hello by then are evicted before
-	// the first round. 0 selects a 10s default.
+	// HandshakeTimeout bounds the wire engines' connect-and-identify
+	// phase; agents that have not completed the hello by then are evicted
+	// before the first round. 0 selects a 10s default.
 	HandshakeTimeout time.Duration
 	// Faults injects deterministic faults into the wire engines' links
 	// (nil = none; the fault-free run is bit-identical to Solve).
@@ -75,10 +75,17 @@ type Config struct {
 	OnListen func(net.Addr)
 }
 
-// defaultHandshakeTimeout bounds SolveTCP's identification phase when
-// Config.HandshakeTimeout is zero: long enough for any loopback or LAN
+// defaultHandshakeTimeout bounds the wire engines' identification phase
+// when Config.HandshakeTimeout is zero: long enough for any loopback or LAN
 // deployment, short enough that a dead peer cannot wedge the solve.
 const defaultHandshakeTimeout = 10 * time.Second
+
+func (c Config) handshakeTimeout() time.Duration {
+	if c.HandshakeTimeout > 0 {
+		return c.HandshakeTimeout
+	}
+	return defaultHandshakeTimeout
+}
 
 // Eviction records one agent's removal from a distributed game: the
 // mechanism timed the agent out or lost its connection and continued with
@@ -131,8 +138,9 @@ type Result struct {
 	// either way, only this counter differs.
 	Valuations int64
 	// Evictions lists every agent the wire engines removed from the game
-	// (timeouts, broken connections, failed dials), in eviction order.
-	// Always empty for the in-process engines and for fault-free runs.
+	// (timeouts, broken connections, failed dials, invalid bids), in
+	// eviction order.
+	// Always empty for Solve, SolveIncremental and fault-free runs.
 	Evictions []Eviction
 }
 

@@ -37,9 +37,6 @@ func TestSolveNilProblem(t *testing.T) {
 	if _, err := Solve(context.Background(), nil, Config{}); err == nil {
 		t.Fatal("nil problem accepted")
 	}
-	if _, err := SolveDistributed(context.Background(), nil, Config{}); err == nil {
-		t.Fatal("nil problem accepted (distributed)")
-	}
 	if _, err := SolveNetwork(context.Background(), nil, Config{}); err == nil {
 		t.Fatal("nil problem accepted (network)")
 	}
@@ -62,22 +59,17 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 func TestEnginesAgree(t *testing.T) {
 	cfg := testutil.Small(3)
 	sync := mustSolve(t, testutil.MustBuild(cfg), Config{})
-	dist, err := SolveDistributed(context.Background(), testutil.MustBuild(cfg), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	netres, err := SolveNetwork(context.Background(), testutil.MustBuild(cfg), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAllocations(t, sync, dist)
 	assertSameAllocations(t, sync, netres)
 }
 
 func TestDistributedRejectsExactValuation(t *testing.T) {
 	p := testutil.MustBuild(testutil.Small(4))
-	if _, err := SolveDistributed(context.Background(), p, Config{Valuation: ExactDelta}); err == nil {
-		t.Fatal("exact valuation should be rejected by the distributed engine")
+	if _, err := SolveTCP(context.Background(), p, Config{Valuation: ExactDelta}, "127.0.0.1:0"); err == nil {
+		t.Fatal("exact valuation should be rejected by the tcp engine")
 	}
 	if _, err := SolveNetwork(context.Background(), p, Config{Valuation: ExactDelta}); err == nil {
 		t.Fatal("exact valuation should be rejected by the network engine")
@@ -93,14 +85,7 @@ func TestMaxRounds(t *testing.T) {
 	if res.Rounds > 3 {
 		t.Fatalf("rounds = %d, want <= 3", res.Rounds)
 	}
-	// Distributed engines honor the cap too.
-	d, err := SolveDistributed(context.Background(), testutil.MustBuild(testutil.Small(5)), Config{MaxRounds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Rounds > 3 {
-		t.Fatalf("distributed rounds = %d", d.Rounds)
-	}
+	// The wire engines honor the cap too (TestSolveTCPMaxRounds covers tcp).
 	n, err := SolveNetwork(context.Background(), testutil.MustBuild(testutil.Small(5)), Config{MaxRounds: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +245,8 @@ func TestSystemTruthfulnessProperty(t *testing.T) {
 	}
 }
 
-// Property: for random instances, all three engines agree and never violate
-// schema invariants.
+// Property: for random instances, the synchronous and pipe engines agree
+// and never violate schema invariants.
 func TestEnginesAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		cfg := testutil.InstanceConfig{
@@ -280,7 +265,7 @@ func TestEnginesAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := SolveDistributed(context.Background(), p2, Config{})
+		d, err := SolveNetwork(context.Background(), p2, Config{})
 		if err != nil {
 			return false
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // engineRuns lists every engine behind one uniform signature so the
-// cancellation contract is tested identically across all five.
+// cancellation contract is tested identically across all four.
 func engineRuns() []struct {
 	name string
 	run  func(ctx context.Context, p *replication.Problem, cfg Config) (*Result, error)
@@ -22,7 +22,6 @@ func engineRuns() []struct {
 	}{
 		{EngineSync, Solve},
 		{EngineIncremental, SolveIncremental},
-		{EngineDistributed, SolveDistributed},
 		{EngineNetwork, SolveNetwork},
 		{EngineTCP, func(ctx context.Context, p *replication.Problem, cfg Config) (*Result, error) {
 			return SolveTCP(ctx, p, cfg, "127.0.0.1:0")

@@ -14,7 +14,7 @@ import (
 
 // activeAgent returns the first server that participates in the game for p;
 // fault schedules must name a live victim or they test nothing.
-func activeAgent(t *testing.T, p *replication.Problem) int {
+func activeAgent(t testing.TB, p *replication.Problem) int {
 	t.Helper()
 	for i := 0; i < p.M; i++ {
 		if newAgentState(p, i).active() {

@@ -85,11 +85,11 @@ func TestIncrementalDoesLessWork(t *testing.T) {
 		sync.Valuations, inc.Valuations, float64(sync.Valuations)/float64(inc.Valuations))
 }
 
-// TestDifferentialEngines runs the synchronous, incremental, and
-// message-passing engines over a batch of seeded random instances and
-// requires identical allocation sequences (object, server, value, AND
-// second-price payment per round), identical cumulative payments, and
-// identical final OTC — plus schema invariants after every run.
+// TestDifferentialEngines runs the synchronous, incremental, and wire
+// engines over a batch of seeded random instances and requires identical
+// allocation sequences (object, server, value, AND second-price payment
+// per round), identical cumulative payments, and identical final OTC —
+// plus schema invariants after every run.
 func TestDifferentialEngines(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		cfg := testutil.InstanceConfig{
@@ -109,10 +109,6 @@ func TestDifferentialEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: incremental: %v", seed, err)
 		}
-		dist, err := SolveDistributed(context.Background(), testutil.MustBuild(cfg), Config{})
-		if err != nil {
-			t.Fatalf("seed %d: distributed: %v", seed, err)
-		}
 		// A zeroed fault config and a generous round deadline must take no
 		// eviction path: the wire engines stay bit-identical to Solve.
 		wireCfg := Config{RoundTimeout: 10 * time.Second, Faults: &faultnet.Config{}}
@@ -120,7 +116,7 @@ func TestDifferentialEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: network: %v", seed, err)
 		}
-		results := map[string]*Result{"sync": sync, "incremental": inc, "distributed": dist, "network": netw}
+		results := map[string]*Result{"sync": sync, "incremental": inc, "network": netw}
 		if seed%5 == 0 {
 			tcp, err := SolveTCP(context.Background(), testutil.MustBuild(cfg), wireCfg, "127.0.0.1:0")
 			if err != nil {

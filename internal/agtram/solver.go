@@ -9,23 +9,22 @@ import (
 	"repro/internal/solver"
 )
 
-// Engine names accepted by the "agt-ram" solver's Options.Engine. The five
+// Engine names accepted by the "agt-ram" solver's Options.Engine. The four
 // engines run the identical mechanism — same allocations, same payments —
 // over different execution substrates.
 const (
 	EngineIncremental = "incremental"
 	EngineSync        = "sync"
-	EngineDistributed = "distributed"
 	EngineNetwork     = "network"
 	EngineTCP         = "tcp"
 )
 
 // Engines lists the selectable engines in documentation order.
 func Engines() []string {
-	return []string{EngineIncremental, EngineSync, EngineDistributed, EngineNetwork, EngineTCP}
+	return []string{EngineIncremental, EngineSync, EngineNetwork, EngineTCP}
 }
 
-// agtSolver adapts the five AGT-RAM engines to the solver registry; the
+// agtSolver adapts the four AGT-RAM engines to the solver registry; the
 // facade's old engine sub-switch lives here now, as Options.Engine.
 type agtSolver struct{}
 
@@ -34,7 +33,7 @@ func init() { solver.Register(agtSolver{}) }
 func (agtSolver) Name() string  { return "agt-ram" }
 func (agtSolver) Label() string { return "AGT-RAM" }
 func (agtSolver) Description() string {
-	return "the paper's mechanism: sealed-bid rounds, Vickrey payments, five interchangeable engines"
+	return "the paper's mechanism: sealed-bid rounds, Vickrey payments, four interchangeable engines"
 }
 
 func (agtSolver) Solve(ctx context.Context, p *replication.Problem, opts solver.Options) (*solver.Outcome, error) {
@@ -99,8 +98,6 @@ func (agtSolver) Solve(ctx context.Context, p *replication.Problem, opts solver.
 		}
 	case EngineSync:
 		res, err = Solve(ctx, p, cfg)
-	case EngineDistributed:
-		res, err = SolveDistributed(ctx, p, cfg)
 	case EngineNetwork:
 		res, err = SolveNetwork(ctx, p, cfg)
 	case EngineTCP:
@@ -110,7 +107,7 @@ func (agtSolver) Solve(ctx context.Context, p *replication.Problem, opts solver.
 		}
 		res, err = SolveTCP(ctx, p, cfg, addr)
 	default:
-		return nil, fmt.Errorf("agtram: unknown engine %q (want incremental|sync|distributed|network|tcp)", engine)
+		return nil, fmt.Errorf("agtram: unknown engine %q (want incremental|sync|network|tcp)", engine)
 	}
 	if err != nil {
 		return nil, err

@@ -146,12 +146,12 @@ func TestAblationEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("got %d rows, want 6 (five engines + control)", len(tab.Rows))
+	if len(tab.Rows) != 5 {
+		t.Fatalf("got %d rows, want 5 (four engines + control)", len(tab.Rows))
 	}
-	// All five engines produce identical savings.
+	// All four engines produce identical savings.
 	s0, _ := tab.Value(0, "savings")
-	for i := 1; i < 5; i++ {
+	for i := 1; i < 4; i++ {
 		if si, _ := tab.Value(i, "savings"); si != s0 {
 			t.Fatalf("engine row %d disagrees: %.4f vs %.4f", i, si, s0)
 		}

@@ -7,21 +7,22 @@ import (
 	"repro/internal/replication"
 )
 
-// Compaction: where Mask keeps the full M×N shape and merely zeroes
-// non-member capacity, Compact rebuilds the regional instance at M'×N' — the
-// member servers, the objects they either own (primary) or demand, and the
-// boundary servers that hold primaries of demanded objects — together with a
-// dense index mapping in each direction. Shard-side arena construction,
-// kernel rounds and distance-oracle rows are then all sized to the region;
-// placements, payments and deltas cross the RPC boundary through the
-// mapping.
+// Compaction: where a mask keeps the full M×N shape and merely zeroes
+// non-member capacity (the reference restriction in export_test.go that
+// Compact is checked against), Compact rebuilds the regional instance at
+// M'×N' — the member servers, the objects they either own (primary) or
+// demand, and the boundary servers that hold primaries of demanded objects —
+// together with a dense index mapping in each direction. Shard-side arena
+// construction, kernel rounds and distance-oracle rows are then all sized to
+// the region; placements, payments and deltas cross the RPC boundary through
+// the mapping.
 //
 // The two restrictions are solution-equivalent: an object nobody in the
 // region demands and no member owns contributes no cost term and no
 // candidate, and a boundary server enters with capacity 0, which the
 // materialized instance clamps to exactly its primary load — it can anchor
 // read/write distances but never host a surplus replica. Regional placements
-// therefore remain disjoint across regions, exactly as under Mask.
+// therefore remain disjoint across regions, exactly as under the mask.
 //
 // Compacting with every server a member is the identity: Servers and Objects
 // are the identity mappings and State is a deep copy of the input snapshot.
@@ -51,8 +52,8 @@ type CompactRegion struct {
 // member (retired ones included — their primary copy still occupies
 // storage) plus every object a member demands. Kept servers: the members
 // plus the boundary primaries of kept objects; boundary servers lose their
-// declared capacity, Mask's rule. Member ids outside the snapshot are
-// ignored, as Mask does. Demand order (sorted by server, then object) is
+// declared capacity, as masked non-members do. Member ids outside the
+// snapshot are ignored. Demand order (sorted by server, then object) is
 // preserved because both mappings are monotone.
 func (s *StateSnapshot) Compact(members []int32) *CompactRegion {
 	m, n := len(s.Capacity), len(s.Sizes)
@@ -190,7 +191,7 @@ func (r *CompactRegion) AppendObject(global int32) int32 {
 // replica lists of global server ids) into the region: one row per regional
 // object, replicas restricted to mapped servers. Replicas on boundary
 // servers survive translation and are then dropped by the carry-over's
-// capacity check, mirroring Mask's treatment of non-member replicas.
+// capacity check, mirroring the mask's treatment of non-member replicas.
 func (r *CompactRegion) CarryToLocal(matrix [][]int32) [][]int32 {
 	if matrix == nil {
 		return nil

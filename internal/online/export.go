@@ -18,8 +18,9 @@ type DemandEntry struct {
 // StateSnapshot is the wire form of a controller's mutable state: everything
 // a fresh controller needs to continue from the same workload, minus the cost
 // oracle (shared by configuration, not shipped). The cluster coordinator
-// ships masked snapshots to shard daemons on every (re-)assignment; demand is
-// sorted by (server, object) so the encoding is deterministic.
+// ships compacted snapshots (CompactRegion) to shard daemons on every
+// (re-)assignment; demand is sorted by (server, object) so the encoding is
+// deterministic.
 type StateSnapshot struct {
 	Capacity []int64       `json:"capacity"`
 	Active   []bool        `json:"active"`
@@ -94,43 +95,8 @@ func (c *Controller) ExportState() *StateSnapshot {
 	return snap
 }
 
-// Mask restricts the snapshot to a member subset: non-member servers keep
-// their activity flags and primaries but lose their declared capacity (the
-// materialized instance clamps them to exactly their primary load, so they
-// can never host a surplus replica) and their demand. Regional games over
-// masked snapshots therefore only ever place replicas on their own members —
-// regional placements are disjoint by construction and merge without
-// conflicts. Masking with every server a member is the identity, which is
-// what makes a 1-shard cluster bit-identical to the single daemon.
-func (s *StateSnapshot) Mask(members []int32) *StateSnapshot {
-	member := make([]bool, len(s.Capacity))
-	for _, i := range members {
-		if int(i) < len(member) {
-			member[i] = true
-		}
-	}
-	out := &StateSnapshot{
-		Capacity: append([]int64(nil), s.Capacity...),
-		Active:   append([]bool(nil), s.Active...),
-		Sizes:    append([]int64(nil), s.Sizes...),
-		Primary:  append([]int32(nil), s.Primary...),
-		Retired:  append([]bool(nil), s.Retired...),
-	}
-	for i := range out.Capacity {
-		if !member[i] {
-			out.Capacity[i] = 0
-		}
-	}
-	for _, d := range s.Demand {
-		if member[d.Server] {
-			out.Demand = append(out.Demand, d)
-		}
-	}
-	return out
-}
-
 // NewFromState builds a controller over an exported state snapshot — the
-// shard daemon's entry point: the coordinator ships a masked StateSnapshot,
+// shard daemon's entry point: the coordinator ships a regional StateSnapshot,
 // the shard rebuilds its regional controller from it. The cost oracle is the
 // receiver's own (both sides construct it from the shared instance
 // configuration).

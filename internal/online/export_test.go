@@ -40,7 +40,7 @@ func TestExportMaskRoundTrip(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	if !reflect.DeepEqual(snap, snap.Mask(all)) {
+	if !reflect.DeepEqual(snap, snap.mask(all)) {
 		t.Fatal("full-membership mask is not the identity")
 	}
 
@@ -65,7 +65,7 @@ func TestExportMaskRoundTrip(t *testing.T) {
 
 	// A partial mask zeroes non-member capacity and drops their demand.
 	members := []int32{0, 1, 2}
-	masked := snap.Mask(members)
+	masked := snap.mask(members)
 	for i, c := range masked.Capacity {
 		if i <= 2 {
 			if c != snap.Capacity[i] {
@@ -270,7 +270,7 @@ func TestCompactFullMembershipIdentity(t *testing.T) {
 	if !reflect.DeepEqual(full.State, snap) {
 		t.Fatal("full-membership compaction changed the snapshot")
 	}
-	if !reflect.DeepEqual(full.State, snap.Mask(all)) {
+	if !reflect.DeepEqual(full.State, snap.mask(all)) {
 		t.Fatal("full-membership compaction and mask disagree")
 	}
 
@@ -537,7 +537,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		pay := make([]int64, len(comp.Servers))
 		var localSum int64
 		for l := range pay {
-			pay[l] = int64(b(l + 17) % 100)
+			pay[l] = int64(b(l+17) % 100)
 			localSum += pay[l]
 		}
 		globalPay := make([]int64, m)
@@ -567,8 +567,44 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(full.State, snap) {
 			t.Fatal("full-membership compaction changed the snapshot")
 		}
-		if !reflect.DeepEqual(full.State, snap.Mask(all)) {
+		if !reflect.DeepEqual(full.State, snap.mask(all)) {
 			t.Fatal("full-membership compaction and mask disagree")
 		}
 	})
+}
+
+// mask restricts the snapshot to a member subset at full M×N shape — the
+// reference restriction Compact is tested against: non-member servers keep
+// their activity flags and primaries but lose their declared capacity (the
+// materialized instance clamps them to exactly their primary load, so they
+// can never host a surplus replica) and their demand. Regional games over
+// masked snapshots therefore only ever place replicas on their own members —
+// regional placements are disjoint by construction and merge without
+// conflicts. Masking with every server a member is the identity, which is
+// what makes a 1-shard cluster bit-identical to the single daemon.
+func (s *StateSnapshot) mask(members []int32) *StateSnapshot {
+	member := make([]bool, len(s.Capacity))
+	for _, i := range members {
+		if int(i) < len(member) {
+			member[i] = true
+		}
+	}
+	out := &StateSnapshot{
+		Capacity: append([]int64(nil), s.Capacity...),
+		Active:   append([]bool(nil), s.Active...),
+		Sizes:    append([]int64(nil), s.Sizes...),
+		Primary:  append([]int32(nil), s.Primary...),
+		Retired:  append([]bool(nil), s.Retired...),
+	}
+	for i := range out.Capacity {
+		if !member[i] {
+			out.Capacity[i] = 0
+		}
+	}
+	for _, d := range s.Demand {
+		if member[d.Server] {
+			out.Demand = append(out.Demand, d)
+		}
+	}
+	return out
 }

@@ -42,9 +42,9 @@ type Options struct {
 	// ignore it.
 	Seed int64
 	// Engine selects an execution engine for methods that have more than
-	// one (AGT-RAM: incremental, sync, distributed, network, tcp). Empty
-	// means the method's default. Methods with a single engine reject
-	// non-empty values they don't recognise.
+	// one (AGT-RAM: incremental, sync, network, tcp). Empty means the
+	// method's default. Methods with a single engine reject non-empty
+	// values they don't recognise.
 	Engine string
 	// TCPAddr is the listen address for the AGT-RAM tcp engine
 	// (host:port; port 0 picks a free port).

@@ -362,11 +362,9 @@ type Options struct {
 	// Both produce identical allocations and payments; the incremental
 	// engine just performs far fewer valuation computations.
 	Sync bool
-	// Distributed runs AGT-RAM through its message-passing engine
-	// (goroutine per agent) instead of the default one; the allocations
+	// Network runs AGT-RAM's wire protocol over in-process net.Pipe
+	// links: the TCP engine's protocol without sockets; the allocations
 	// are identical.
-	Distributed bool
-	// Network runs AGT-RAM through gob-encoded net.Pipe connections.
 	Network bool
 	// TCPAddr, when non-empty, runs AGT-RAM over real loopback TCP sockets
 	// listening on this address (use "127.0.0.1:0" for an ephemeral port).
@@ -374,9 +372,9 @@ type Options struct {
 	// FirstPrice switches AGT-RAM's payment rule (truthfulness ablation).
 	FirstPrice bool
 	// ExactValuation switches AGT-RAM's agents to exact global deltas
-	// (valuation ablation; incompatible with Distributed/Network, and
-	// always served by the synchronous engine since it prices against
-	// shared global state).
+	// (valuation ablation; incompatible with the wire engines, Network and
+	// TCPAddr, and always served by the synchronous engine since it prices
+	// against shared global state).
 	ExactValuation bool
 	// GRAGenerations overrides the GA's generation budget.
 	GRAGenerations int
@@ -389,7 +387,8 @@ type Options struct {
 	RoundTimeout time.Duration
 	// Faults injects deterministic faults into the AGT-RAM wire engines'
 	// links for testing (nil = none; the fault-free run is bit-identical
-	// to the in-process engines). Requires Network or TCPAddr.
+	// to the incremental and synchronous engines). Requires Network or
+	// TCPAddr.
 	Faults *FaultConfig
 	// OnEvent, when non-nil, observes every placement the solver commits,
 	// synchronously and in commit order (and every eviction, marked by
@@ -424,15 +423,12 @@ func (o *Options) orDefault() Options {
 
 // solverOptions validates the engine-selection fields and lowers Options to
 // the registry's method-independent form. Exactly one engine may be
-// selected, and the ExactValuation ablation cannot run on a distributed
-// engine (agents would need the global schema the paper denies them).
+// selected, and the ExactValuation ablation cannot run on a wire engine
+// (agents would need the global schema the paper denies them).
 func (o Options) solverOptions() (solver.Options, error) {
 	var selected []string
 	if o.Sync {
 		selected = append(selected, "Sync")
-	}
-	if o.Distributed {
-		selected = append(selected, "Distributed")
 	}
 	if o.Network {
 		selected = append(selected, "Network")
@@ -468,8 +464,6 @@ func (o Options) solverOptions() (solver.Options, error) {
 		so.Engine = agtram.EngineTCP
 	case o.Network:
 		so.Engine = agtram.EngineNetwork
-	case o.Distributed:
-		so.Engine = agtram.EngineDistributed
 	case o.Sync:
 		so.Engine = agtram.EngineSync
 	}
@@ -516,8 +510,9 @@ type Result struct {
 	// was set.
 	Events []Event
 	// Evictions lists the agents the AGT-RAM wire engines removed from the
-	// game (timeouts, broken links, failed dials), in eviction order;
-	// empty for the in-process engines and for fault-free runs.
+	// game (timeouts, broken links, failed dials, invalid bids), in
+	// eviction order; empty for the incremental and synchronous engines and
+	// for fault-free runs.
 	Evictions []Eviction
 
 	schema *replication.Schema

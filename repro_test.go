@@ -88,11 +88,11 @@ func TestAGTRAMEnginesAgreeViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sync, err := inst.Solve(repro.AGTRAM, nil)
+	inc, err := inst.Solve(repro.AGTRAM, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := inst.Solve(repro.AGTRAM, &repro.Options{Distributed: true})
+	sync, err := inst.Solve(repro.AGTRAM, &repro.Options{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestAGTRAMEnginesAgreeViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sync.OTC != dist.OTC || sync.OTC != network.OTC {
-		t.Fatalf("engines disagree: %d / %d / %d", sync.OTC, dist.OTC, network.OTC)
+	if inc.OTC != sync.OTC || inc.OTC != network.OTC {
+		t.Fatalf("engines disagree: %d / %d / %d", inc.OTC, sync.OTC, network.OTC)
 	}
 }
 

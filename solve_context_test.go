@@ -49,11 +49,9 @@ func TestOptionConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []repro.Options{
-		{Sync: true, Distributed: true},
 		{Sync: true, Network: true},
-		{Distributed: true, Network: true},
-		{Distributed: true, TCPAddr: "127.0.0.1:0"},
-		{ExactValuation: true, Distributed: true},
+		{Sync: true, TCPAddr: "127.0.0.1:0"},
+		{Network: true, TCPAddr: "127.0.0.1:0"},
 		{ExactValuation: true, Network: true},
 		{ExactValuation: true, TCPAddr: "127.0.0.1:0"},
 	}
